@@ -78,8 +78,7 @@ func BenchmarkAblationCongestionControl(b *testing.B) {
 func BenchmarkAblationGridCollectives(b *testing.B) {
 	run := func(gridColl bool) time.Duration {
 		prof, tcp := mpiimpl.Configure(mpiimpl.GridMPI, true, false)
-		prof.GridBcast = gridColl
-		prof.GridAllreduce = gridColl
+		prof.GridCollectives = gridColl
 		k := sim.New(1)
 		defer k.Close()
 		net := grid5000.RennesNancy(8)

@@ -9,7 +9,7 @@ import (
 )
 
 // multilevelSweep is a small all-collectives multilevel batch on the
-// 3-site asymmetric layout (the shape gridBcast/gridAllreduce cannot
+// 3-site asymmetric layout (the shape GridMPI's two-site lanes cannot
 // handle).
 func multilevelSweep() []Experiment {
 	asym := Asym(Site(grid5000.Rennes, 3), Site(grid5000.Nancy, 2), Site(grid5000.Sophia, 2))

@@ -40,7 +40,7 @@ func TestGridBcastBeatsBinomialOnWAN(t *testing.T) {
 	body := func(r *Rank) { r.Bcast(0, n) }
 	plain := Reference()
 	gridAware := Reference()
-	gridAware.GridBcast = true
+	gridAware.GridCollectives = true
 	tBinomial := runColl(t, plain, 8, true, body)
 	tGrid := runColl(t, gridAware, 8, true, body)
 	if tGrid >= tBinomial {
@@ -57,7 +57,7 @@ func TestGridBcastFallsBackForSmallMessages(t *testing.T) {
 	body := func(r *Rank) { r.Bcast(0, 1024) }
 	plain := runColl(t, Reference(), 4, true, body)
 	aware := Reference()
-	aware.GridBcast = true
+	aware.GridCollectives = true
 	grid := runColl(t, aware, 4, true, body)
 	if plain != grid {
 		t.Fatalf("small bcast differs: plain %v vs grid-aware %v", plain, grid)
@@ -81,7 +81,7 @@ func TestGridAllreduceBeatsRecursiveDoubling(t *testing.T) {
 	body := func(r *Rank) { r.Allreduce(n) }
 	plain := runColl(t, Reference(), 8, true, body)
 	aware := Reference()
-	aware.GridAllreduce = true
+	aware.GridCollectives = true
 	grid := runColl(t, aware, 8, true, body)
 	if grid >= plain {
 		t.Fatalf("grid allreduce (%v) not faster than recursive doubling (%v)", grid, plain)
@@ -89,14 +89,23 @@ func TestGridAllreduceBeatsRecursiveDoubling(t *testing.T) {
 }
 
 func TestAllreduceNonPowerOfTwoFallback(t *testing.T) {
-	// 3 ranks per site = 6 ranks: exercises the reduce+bcast fallback.
-	count := 0
-	runColl(t, Reference(), 3, true, func(r *Rank) {
-		r.Allreduce(8 << 10)
-		count++
-	})
-	if count != 6 {
-		t.Fatalf("count = %d", count)
+	// 3 ranks per site = 6 ranks: exercises the reduce+bcast fallback,
+	// both world-wide and, with the grid collectives on at 64 KiB,
+	// inside each site before the lanes cross the WAN.
+	grid := Reference()
+	grid.GridCollectives = true
+	for _, tc := range []struct {
+		prof Profile
+		n    int
+	}{{Reference(), 8 << 10}, {grid, 64 << 10}} {
+		count := 0
+		runColl(t, tc.prof, 3, true, func(r *Rank) {
+			r.Allreduce(tc.n)
+			count++
+		})
+		if count != 6 {
+			t.Fatalf("grid=%v: count = %d", tc.prof.GridCollectives, count)
+		}
 	}
 }
 

@@ -56,15 +56,9 @@ func (r *Rank) Scatterv(root int, sizes []int) {
 // its n/P block: a ring reduce-scatter (P-1 steps of n/P bytes), the
 // first half of the Rabenseifner allreduce.
 func (r *Rank) ReduceScatter(n int) {
-	tag := r.nextCollTag()
-	if r.id == 0 {
-		r.w.stats.recordColl("reducescatter", int64(n))
-	}
+	tag := r.beginColl("reducescatter", 0, int64(n))
 	P := r.Size()
-	chunk := int64(n) / int64(P)
-	if chunk < 1 {
-		chunk = 1
-	}
+	chunk := max(int64(n)/int64(P), 1)
 	right := (r.id + 1) % P
 	left := (r.id - 1 + P) % P
 	for step := 0; step < P-1; step++ {
@@ -77,10 +71,7 @@ func (r *Rank) ReduceScatter(n int) {
 // ranks 0..i. The linear algorithm passes partial results up the rank
 // order.
 func (r *Rank) Scan(n int) {
-	tag := r.nextCollTag()
-	if r.id == 0 {
-		r.w.stats.recordColl("scan", int64(n))
-	}
+	tag := r.beginColl("scan", 0, int64(n))
 	if r.id > 0 {
 		r.crecv(r.id-1, tag)
 		r.combineCost(int64(n))

@@ -265,9 +265,10 @@ func TestMultilevelSingleSiteEventStreamIdentical(t *testing.T) {
 }
 
 // TestSiteGroupsFirstAppearanceOrder pins the contract multilevel
-// gateway selection depends on: groups are ordered by the site's first
-// appearance walking ranks 0..P-1, and each group lists its ranks in
-// rank order.
+// gateway selection and lane pairing depend on: the world's site groups
+// are ordered by the site's first appearance walking ranks 0..P-1, each
+// group lists its ranks in rank order, and the per-rank site index,
+// position and gateway tables agree with the groups.
 func TestSiteGroupsFirstAppearanceOrder(t *testing.T) {
 	k := sim.New(1)
 	defer k.Close()
@@ -282,19 +283,26 @@ func TestSiteGroupsFirstAppearanceOrder(t *testing.T) {
 	// Interleave the sites: rank -> site is R N R S N R.
 	hosts := []*netsim.Host{r[0], n[0], r[1], s[0], n[1], r[2]}
 	w := NewWorld(k, net, tcpsim.Tuned4MB(), Reference(), hosts)
-	got := w.siteGroups()
+	sv := w.sites
+	got := sv.groups
 	want := [][]int{{0, 2, 5}, {1, 4}, {3}}
 	if len(got) != len(want) {
-		t.Fatalf("siteGroups = %v, want %v", got, want)
+		t.Fatalf("site groups = %v, want %v", got, want)
 	}
 	for i := range want {
 		if len(got[i]) != len(want[i]) {
-			t.Fatalf("siteGroups = %v, want %v", got, want)
+			t.Fatalf("site groups = %v, want %v", got, want)
 		}
 		for j := range want[i] {
 			if got[i][j] != want[i][j] {
-				t.Fatalf("siteGroups = %v, want %v (first-appearance order)", got, want)
+				t.Fatalf("site groups = %v, want %v (first-appearance order)", got, want)
 			}
+			if sv.of[want[i][j]] != i || sv.pos[want[i][j]] != j {
+				t.Fatalf("rank %d: site %d pos %d, want %d/%d", want[i][j], sv.of[want[i][j]], sv.pos[want[i][j]], i, j)
+			}
+		}
+		if sv.gws[i] != want[i][0] {
+			t.Fatalf("gateway of site %d = %d, want %d", i, sv.gws[i], want[i][0])
 		}
 	}
 }
@@ -303,7 +311,7 @@ func TestSiteGroupsFirstAppearanceOrder(t *testing.T) {
 // large-message collectives on a multi-site grid finish faster staged
 // than flat.
 func TestMultilevelLatencyWinsOnGrid(t *testing.T) {
-	layout := mlLayouts[2].layout // 3 sites: the case gridBcast gives up on
+	layout := mlLayouts[2].layout // 3 sites: the case the two-site lanes give up on
 	for _, tc := range []struct {
 		name string
 		body func(r *Rank)

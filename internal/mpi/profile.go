@@ -49,19 +49,21 @@ type Profile struct {
 	// Pacing enables the GridMPI TCP pacing modification on all flows.
 	Pacing bool
 
-	// GridBcast enables the van de Geijn style grid broadcast and
-	// GridAllreduce the grid-aware Rabenseifner allreduce (GridMPI's
-	// collective optimizations, Matsuda et al. Cluster'06).
-	GridBcast     bool
-	GridAllreduce bool
+	// GridCollectives enables GridMPI's collective optimizations (Matsuda
+	// et al., Cluster'06): on exactly two sites, Bcast and Allreduce of at
+	// least 32 KiB send their payload over the WAN as k parallel
+	// node-to-node lanes (the van de Geijn broadcast and the grid-aware
+	// Rabenseifner allreduce); elsewhere, Bcast of at least 512 KiB is a
+	// scatter followed by a ring allgather.
+	GridCollectives bool
 
 	// Multilevel switches every collective to the topology-aware
 	// multilevel algorithms (Karonis et al., MPICH-G2): an intra-site
-	// phase over each siteGroups() group, an inter-site phase over one
-	// gateway rank per site, then intra-site redistribution. Unlike
-	// GridBcast/GridAllreduce it handles arbitrary N-site layouts and
-	// takes precedence over them; on a single site it falls through to
-	// the flat algorithms unchanged.
+	// phase inside each site, an inter-site phase over one gateway rank
+	// per site, then intra-site redistribution. Unlike GridCollectives'
+	// lanes it handles any number of sites, and it takes precedence over
+	// them; on a single site it falls through to the flat algorithms
+	// unchanged.
 	Multilevel bool
 
 	// SerialRendezvous serializes rendezvous exchanges per peer pair

@@ -123,10 +123,9 @@ func TestPropertyByteConservation(t *testing.T) {
 func TestPropertyCollectivesComplete(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		perSite := []int{1, 2, 4}[rng.Intn(3)]
+		perSite := []int{1, 2, 3, 4}[rng.Intn(4)]
 		prof := Reference()
-		prof.GridBcast = rng.Intn(2) == 0
-		prof.GridAllreduce = rng.Intn(2) == 0
+		prof.GridCollectives = rng.Intn(2) == 0
 		k, w := newWorld(t, prof, tcpsim.Tuned4MB(), perSite, true)
 		defer k.Close()
 		nOps := rng.Intn(4) + 1

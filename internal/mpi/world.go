@@ -29,6 +29,7 @@ type World struct {
 	hosts []*netsim.Host
 	ranks []*Rank
 	stats *Stats
+	sites sites // the ranks' site partition, for the collectives
 
 	// Protocol arenas (see arena.go): free lists for the per-message
 	// objects, shared by all ranks of the job. Single flow of control —
@@ -47,7 +48,7 @@ func NewWorld(k *sim.Kernel, net *netsim.Network, tcp tcpsim.Config, prof Profil
 		panic("mpi: world needs at least one host")
 	}
 	tcp.Pacing = prof.Pacing
-	w := &World{K: k, Net: net, TCP: tcp, Prof: prof, hosts: hosts, stats: newStats()}
+	w := &World{K: k, Net: net, TCP: tcp, Prof: prof, hosts: hosts, stats: newStats(), sites: newSites(hosts)}
 	w.ranks = make([]*Rank, len(hosts))
 	for i, h := range hosts {
 		w.ranks[i] = &Rank{

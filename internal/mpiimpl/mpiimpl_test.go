@@ -39,12 +39,12 @@ func TestDefaultThresholdsMatchTable5(t *testing.T) {
 
 func TestGridMPIHasTheGridFeatures(t *testing.T) {
 	p := Profile(GridMPI)
-	if !p.Pacing || !p.GridBcast || !p.GridAllreduce {
+	if !p.Pacing || !p.GridCollectives {
 		t.Fatalf("GridMPI profile misses its §2.1.4 features: %+v", p)
 	}
 	for _, other := range []string{MPICH2, Madeleine, OpenMPI} {
 		q := Profile(other)
-		if q.Pacing || q.GridBcast || q.GridAllreduce {
+		if q.Pacing || q.GridCollectives {
 			t.Errorf("%s should not have grid optimizations", other)
 		}
 	}
@@ -100,7 +100,7 @@ func TestMPICHG2Extension(t *testing.T) {
 	if p.ParallelStreams < 2 {
 		t.Error("MPICH-G2 must stripe large messages over several streams")
 	}
-	if !p.GridBcast || !p.GridAllreduce {
+	if !p.GridCollectives {
 		t.Error("MPICH-G2 collectives are topology-aware")
 	}
 }

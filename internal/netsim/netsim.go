@@ -263,16 +263,20 @@ func (p *Path) String() string {
 	return fmt.Sprintf("%s->%s owd=%v", p.Src.Name, p.Dst.Name, p.OneWay)
 }
 
-// Network is a set of hosts plus a route table of host-pair paths.
+// Network is a set of hosts plus the per-site and per-site-pair classes
+// their paths derive from. A host-pair path is built on first use and
+// memoized, so only the pairs that communicate cost memory.
 type Network struct {
 	hosts   map[string]*Host
 	ordered []*Host
-	paths   map[[2]string]*Path
+	paths   map[[2]*Host]*Path
 	// uplinks maps a site name to its shared WAN access links (egress and
 	// ingress sides), if any.
 	uplinks map[string]*duplex
 	// intraOWD remembers each site's intra-cluster one-way delay.
 	intraOWD map[string]time.Duration
+	// wanOWD is the one-way delay of each connected (src, dst) site pair.
+	wanOWD map[[2]string]time.Duration
 }
 
 // New creates an empty network.
@@ -285,9 +289,10 @@ type duplex struct {
 func New() *Network {
 	return &Network{
 		hosts:    make(map[string]*Host),
-		paths:    make(map[[2]string]*Path),
+		paths:    make(map[[2]*Host]*Path),
 		uplinks:  make(map[string]*duplex),
 		intraOWD: make(map[string]time.Duration),
+		wanOWD:   make(map[[2]string]time.Duration),
 	}
 }
 
@@ -347,21 +352,12 @@ func (n *Network) AddSite(site string, count int, cpuSpeed, nicRate float64, int
 		hosts[i] = n.AddHost(fmt.Sprintf("%s-%d", site, i+1), site, cpuSpeed, nicRate)
 	}
 	n.intraOWD[site] = intraOWD
-	// Full mesh of intra-site paths (switch assumed non-blocking).
-	all := n.SiteHosts(site)
-	for _, a := range all {
-		for _, b := range all {
-			if a != b {
-				n.setPath(a, b, intraOWD, []*Link{a.NIC, b.NICIn})
-			}
-		}
-	}
 	return hosts
 }
 
 // SetUplink gives a site a shared full-duplex WAN access of the given rate
 // per direction. All inter-site paths from or to the site cross it. Call
-// before ConnectSites.
+// before the first Path lookup from or to the site.
 func (n *Network) SetUplink(site string, rate float64) {
 	n.uplinks[site] = &duplex{
 		out: &Link{Name: site + ":uplink-out", Rate: rate},
@@ -380,20 +376,15 @@ func (n *Network) Uplink(site string) (out, in *Link, ok bool) {
 	return up.out, up.in, true
 }
 
-// ConnectSites installs paths between every host of site a and every host
-// of site b (both directions) with one-way delay owd. Paths cross the two
-// NICs and any configured site uplinks.
+// ConnectSites routes every host of site a to every host of site b (both
+// directions) with one-way delay owd. Paths cross the two NICs and any
+// configured site uplinks.
 func (n *Network) ConnectSites(a, b string, owd time.Duration) {
-	ha, hb := n.SiteHosts(a), n.SiteHosts(b)
-	if len(ha) == 0 || len(hb) == 0 {
+	if len(n.SiteHosts(a)) == 0 || len(n.SiteHosts(b)) == 0 {
 		panic(fmt.Sprintf("netsim: ConnectSites(%q,%q): missing hosts", a, b))
 	}
-	for _, x := range ha {
-		for _, y := range hb {
-			n.setPath(x, y, owd, n.wanLinks(x, y))
-			n.setPath(y, x, owd, n.wanLinks(y, x))
-		}
-	}
+	n.wanOWD[[2]string{a, b}] = owd
+	n.wanOWD[[2]string{b, a}] = owd
 }
 
 func (n *Network) wanLinks(src, dst *Host) []*Link {
@@ -407,10 +398,6 @@ func (n *Network) wanLinks(src, dst *Host) []*Link {
 	return append(links, dst.NICIn)
 }
 
-func (n *Network) setPath(a, b *Host, owd time.Duration, links []*Link) {
-	n.paths[[2]string{a.Name, b.Name}] = &Path{Src: a, Dst: b, OneWay: owd, Links: links}
-}
-
 // LoopbackRate is the byte rate of intra-host communication (shared-memory
 // copy speed) and LoopbackDelay its latency.
 const (
@@ -418,25 +405,35 @@ const (
 	LoopbackDelay = 5 * time.Microsecond
 )
 
-// Path returns the route from a to b. Two processes on the same host
-// communicate over a synthetic loopback path. It panics when no route
-// exists between distinct hosts, because every experiment topology is
-// fully connected by construction.
+// Path returns the route from a to b, derived on first use and the same
+// *Path on every later call. Two processes on the same host communicate
+// over a synthetic loopback path, hosts of one site through their two
+// NICs (the switch is non-blocking), and hosts of connected sites over
+// the WAN. It panics when no route exists between distinct hosts,
+// because every experiment topology is fully connected by construction.
 func (n *Network) Path(a, b *Host) *Path {
-	key := [2]string{a.Name, b.Name}
+	key := [2]*Host{a, b}
 	if p, ok := n.paths[key]; ok {
 		return p
 	}
-	if a == b {
-		p := &Path{
-			Src: a, Dst: b,
-			OneWay: LoopbackDelay,
-			Links:  []*Link{{Name: a.Name + ":lo", Rate: LoopbackRate}},
-		}
-		n.paths[key] = p
-		return p
+	p := &Path{Src: a, Dst: b}
+	intra, cluster := n.intraOWD[a.Site]
+	wan, connected := n.wanOWD[[2]string{a.Site, b.Site}]
+	switch {
+	case a == b:
+		p.OneWay = LoopbackDelay
+		p.Links = []*Link{{Name: a.Name + ":lo", Rate: LoopbackRate}}
+	case cluster && a.Site == b.Site:
+		p.OneWay = intra
+		p.Links = []*Link{a.NIC, b.NICIn}
+	case connected:
+		p.OneWay = wan
+		p.Links = n.wanLinks(a, b)
+	default:
+		panic(fmt.Sprintf("netsim: no path %s -> %s", a.Name, b.Name))
 	}
-	panic(fmt.Sprintf("netsim: no path %s -> %s", a.Name, b.Name))
+	n.paths[key] = p
+	return p
 }
 
 // SameSite reports whether two hosts are on the same site.

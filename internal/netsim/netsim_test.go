@@ -156,6 +156,15 @@ func TestLoopbackPath(t *testing.T) {
 	if n.Path(a, a) != p {
 		t.Fatal("loopback path not cached")
 	}
+	// Derived intra-site and WAN paths are memoized the same way: every
+	// lookup of one pair returns the one *Path the flows share.
+	g := buildTwoSites(t)
+	for _, pair := range [][2]string{{"rennes-1", "rennes-2"}, {"rennes-1", "nancy-2"}, {"nancy-2", "rennes-1"}} {
+		src, dst := g.Host(pair[0]), g.Host(pair[1])
+		if g.Path(src, dst) != g.Path(src, dst) {
+			t.Fatalf("path %s -> %s not cached", pair[0], pair[1])
+		}
+	}
 }
 
 func TestFullDuplexNICs(t *testing.T) {

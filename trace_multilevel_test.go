@@ -18,7 +18,7 @@ var updateTraceML = flag.Bool("update-trace-multilevel", false, "rewrite testdat
 
 // multilevelTraceExperiments lock the multilevel collectives' execution
 // order: every staged pattern on the 3-site asymmetric layout where
-// gridBcast/gridAllreduce give up and the multilevel gateways genuinely
+// GridMPI's two-site lanes give up and the multilevel gateways genuinely
 // differ from the flat trees. Sizes straddle the eager/rendezvous and
 // striping thresholds so the gateway hops exercise both protocols.
 func multilevelTraceExperiments() []exp.Experiment {
